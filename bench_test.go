@@ -31,8 +31,8 @@ import (
 // laptop budget.
 func benchScale() experiments.Scale {
 	sc := experiments.BenchScale()
-	sc.MaxNodes = 400
-	sc.TimeLimit = 20 * time.Second
+	sc.Solver.MaxNodes = 400
+	sc.Solver.TimeLimit = 20 * time.Second
 	return sc
 }
 

@@ -149,7 +149,7 @@ func run(args []string) error {
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
 	sc.SweepWorkers = *sweepWorkers
-	sc.SolverWorkers = *solverWorkers
+	sc.Solver.Workers = *solverWorkers
 
 	run := func(name string, f func() error) error {
 		if *experiment != "all" && *experiment != name {
@@ -227,14 +227,14 @@ func run(args []string) error {
 					return
 				}
 				scWarm := scCold
-				scWarm.ReuseBasis = true
+				scWarm.Solver.ReuseBasis = true
 				warmResults[i], errs[i] = experiments.CaseStudy(cfgs[i], scWarm, dr)
 				if errs[i] != nil {
 					return
 				}
 				scCuts := scCold
-				scCuts.Cuts = true
-				scCuts.Kernel = true
+				scCuts.Solver.Cuts.Enable = true
+				scCuts.Solver.Kernel.Enable = true
 				cutsResults[i], errs[i] = experiments.CaseStudy(cfgs[i], scCuts, dr)
 			}(i)
 		}

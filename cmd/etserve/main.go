@@ -14,9 +14,10 @@
 //	etserve -preload seed1.json -preload seed2.json
 //
 // The solve flags (-dr, -omega, -gap, -nodes, -timelimit, -workers, …)
-// mirror the etransform CLI and apply to every job the daemon accepts,
-// so a plan fetched from GET /v1/plans/{id}/plan is byte-identical to
-// `etransform -state <same file> -plan -` with the same flags.
+// are the etransform CLI's own (core.RegisterFlags) and apply to every
+// job the daemon accepts, so a plan fetched from GET /v1/plans/{id}/plan
+// is byte-identical to `etransform -state <same file> -plan -` with the
+// same flags.
 //
 // -preload solves the given state files before the listener starts,
 // populating the plan cache so the first real submission of a known
@@ -40,8 +41,6 @@ import (
 
 	"github.com/etransform/etransform/internal/core"
 	"github.com/etransform/etransform/internal/experiments"
-	"github.com/etransform/etransform/internal/milp"
-	"github.com/etransform/etransform/internal/milp/cuts"
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/serve"
 )
@@ -67,61 +66,18 @@ func run(args []string) error {
 	var preload multiFlag
 	fs.Var(&preload, "preload", "solve this as-is state JSON at startup to warm the plan cache (repeatable)")
 
-	// Solve flags, mirroring the etransform CLI.
-	dr := fs.Bool("dr", false, "plan disaster recovery (secondary sites + shared backup pool)")
-	dedicated := fs.Bool("dedicated", false, "with -dr: dedicated per-group backup servers instead of the shared pool")
-	shadow := fs.Bool("shadow", false, "report capacity shadow prices in every plan")
-	omega := fs.Float64("omega", 0, "business-impact cap: max fraction of app groups per data center (0 disables)")
-	aggregate := fs.Bool("aggregate", true, "aggregate identical application groups (exact reformulation)")
-	candidates := fs.Int("candidates", 0, "restrict each group to its K cheapest candidate DCs (0 = all)")
-	formulation := fs.String("formulation", "pair", `DR formulation: "pair" (scalable) or "paper" (literal §IV-B)`)
-	gap := fs.Float64("gap", 1e-3, "MILP relative optimality gap")
-	nodes := fs.Int("nodes", 20000, "branch & bound node limit")
-	timeLimit := fs.Duration("timelimit", 5*time.Minute, "per-job solve wall-clock limit")
-	memBudget := fs.Int64("membudget", 0, "open-node queue memory budget in bytes (0 = unlimited)")
-	workers := fs.Int("workers", 0, "branch & bound worker goroutines per job (0 = all CPUs, 1 = deterministic traces)")
-	warmLP := fs.Bool("warmlp", false, "warm-start node LPs from the parent's simplex basis")
-	cutsOn := fs.Bool("cuts", false, "separate Gomory and cover cuts at the root")
-	kernelOn := fs.Bool("kernel", false, "run the kernel-search primal heuristic at the root")
+	// Solve flags, shared with the etransform CLI. -warmlp is the
+	// daemon-wide default; warm re-plans (?prev=) turn ReuseBasis on
+	// regardless.
+	coreOpts := core.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	var form core.Formulation
-	switch *formulation {
-	case "pair":
-		form = core.FormulationPair
-	case "paper":
-		form = core.FormulationPaper
-	default:
-		return fmt.Errorf("unknown formulation %q", *formulation)
-	}
-	coreOpts := core.Options{
-		DR:                  *dr,
-		DedicatedBackups:    *dedicated,
-		ComputeShadowPrices: *shadow,
-		Omega:               *omega,
-		Formulation:         form,
-		Aggregate:           *aggregate,
-		CandidateK:          *candidates,
-		Solver: milp.Options{
-			GapTol:    *gap,
-			MaxNodes:  *nodes,
-			TimeLimit: *timeLimit,
-			Workers:   *workers,
-			// ReuseBasis additionally turns itself on for warm re-plans
-			// (?prev=), independent of this daemon-wide default.
-			ReuseBasis: *warmLP,
-			Cuts:       cuts.Options{Enable: *cutsOn},
-			Kernel:     milp.KernelOptions{Enable: *kernelOn},
-			Budget:     milp.Budget{MemoryBytes: *memBudget},
-		},
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := serve.New(serve.Config{Core: coreOpts, Queue: *queueSize, Solvers: *solvers})
+	srv := serve.New(serve.Config{Core: *coreOpts, Queue: *queueSize, Solvers: *solvers})
 	defer srv.Close()
 
 	if len(preload) > 0 {

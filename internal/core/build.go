@@ -573,19 +573,18 @@ func (b *builder) addSpaceSegments() {
 	}
 }
 
-// decode converts a MILP solution into a Plan scored by the shared
-// evaluator, with a self-check that the LP objective matches.
-func (b *builder) decode(sol *lp.Solution) (*model.Plan, error) {
+// decodeAssignment reads the (placement, secondary) assignment of a
+// MILP solution; secondary is nil without DR.
+func (b *builder) decodeAssignment(sol *lp.Solution) (placement, secondary []int, err error) {
 	if !sol.Status.HasSolution() {
-		return nil, fmt.Errorf("core: internal: decode called on %v solution", sol.Status)
+		return nil, nil, fmt.Errorf("core: internal: decode called on %v solution", sol.Status)
 	}
 	s := b.s
 	dr := b.p.opts.DR
-	placement := make([]int, len(s.Groups))
+	placement = make([]int, len(s.Groups))
 	for i := range placement {
 		placement[i] = -1
 	}
-	var secondary []int
 	if dr {
 		secondary = make([]int, len(s.Groups))
 		for i := range secondary {
@@ -601,7 +600,7 @@ func (b *builder) decode(sol *lp.Solution) (*model.Plan, error) {
 			for c := 0; c < cnt; c++ {
 				tp := &b.types[pv.t]
 				if next[pv.t] >= len(tp.members) {
-					return nil, fmt.Errorf("core: internal: type %d over-assigned", pv.t)
+					return nil, nil, fmt.Errorf("core: internal: type %d over-assigned", pv.t)
 				}
 				gi := tp.members[next[pv.t]]
 				next[pv.t]++
@@ -626,16 +625,28 @@ func (b *builder) decode(sol *lp.Solution) (*model.Plan, error) {
 	}
 	for i, j := range placement {
 		if j < 0 {
-			return nil, fmt.Errorf("core: internal: group %q left unplaced in decode", s.Groups[i].ID)
+			return nil, nil, fmt.Errorf("core: internal: group %q left unplaced in decode", s.Groups[i].ID)
 		}
 	}
+	for i, j := range secondary {
+		if j < 0 {
+			return nil, nil, fmt.Errorf("core: internal: group %q has no secondary in decode", s.Groups[i].ID)
+		}
+	}
+	return placement, secondary, nil
+}
+
+// decode converts a MILP solution into a Plan scored by the shared
+// evaluator, with a self-check that the LP objective matches.
+func (b *builder) decode(sol *lp.Solution) (*model.Plan, error) {
+	placement, secondary, err := b.decodeAssignment(sol)
+	if err != nil {
+		return nil, err
+	}
+	s := b.s
+	dr := b.p.opts.DR
 	var backups []int
 	if dr {
-		for i, j := range secondary {
-			if j < 0 {
-				return nil, fmt.Errorf("core: internal: group %q has no secondary in decode", s.Groups[i].ID)
-			}
-		}
 		backups = b.requiredBackups(placement, secondary)
 	}
 

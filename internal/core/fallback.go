@@ -268,9 +268,6 @@ func degradeReason(sol *lp.Solution) string {
 // limit (the zero time means unbounded).
 func (p *Planner) stageDeadline() time.Time {
 	wall := p.opts.Solver.TimeLimit
-	if b := p.opts.Solver.Budget.Wall; b > 0 && (wall <= 0 || b < wall) {
-		wall = b
-	}
 	if wall <= 0 {
 		return time.Time{}
 	}
@@ -282,14 +279,32 @@ func (p *Planner) stageDeadline() time.Time {
 // through here, so a solver bug cannot silently ship an infeasible plan.
 // The tolerance matches the incumbent-acceptance tolerance used inside
 // branch & bound.
+//
+// A feasible point may pay for capacity its assignment does not need,
+// such as a DR pool larger than requiredBackups. Its objective then
+// exceeds the evaluated cost of the plan it decodes to, so the
+// assignment is re-encoded at its minimal cost (encodePoint), and sol is
+// rewritten in place to that point before it is certified and reported.
+// The dual bound is unchanged, so the gap shrinks with the objective.
 func (b *builder) finishSolution(sol *lp.Solution) (*model.Plan, error) {
-	cert, err := certify.CheckSolution(b.m, sol, &certify.Options{FeasTol: tol.Accept, IntTol: tol.Accept})
+	cert, err := b.certify(sol)
 	if err != nil {
-		return nil, fmt.Errorf("core: certifying %s: %w", b.m.Name, err)
+		return nil, err
 	}
-	if cert != nil {
-		if err := cert.Err(); err != nil {
-			return nil, fmt.Errorf("core: plan for %s failed certification: %w", b.m.Name, err)
+	placement, secondary, err := b.decodeAssignment(sol)
+	if err != nil {
+		return nil, err
+	}
+	if x, ok := b.encodePoint(placement, secondary); ok {
+		if obj := b.m.Objective(x); obj < sol.Objective && model.CheckObjectiveMatches(sol.Objective, obj, tol.Objective) != nil {
+			if g := sol.Gap; g >= 0 && !math.IsInf(g, 1) {
+				bound := sol.Objective - g*math.Max(1, math.Abs(sol.Objective))
+				sol.Gap = math.Max(0, (obj-bound)/math.Max(1, math.Abs(obj)))
+			}
+			sol.X, sol.Objective = x, obj
+			if cert, err = b.certify(sol); err != nil {
+				return nil, err
+			}
 		}
 	}
 	plan, err := b.decode(sol)
@@ -300,6 +315,21 @@ func (b *builder) finishSolution(sol *lp.Solution) (*model.Plan, error) {
 		plan.Stats.Certificate = cert.Summary()
 	}
 	return plan, nil
+}
+
+// certify checks sol against the full MILP at the incumbent-acceptance
+// tolerance.
+func (b *builder) certify(sol *lp.Solution) (*certify.Certificate, error) {
+	cert, err := certify.CheckSolution(b.m, sol, &certify.Options{FeasTol: tol.Accept, IntTol: tol.Accept})
+	if err != nil {
+		return nil, fmt.Errorf("core: certifying %s: %w", b.m.Name, err)
+	}
+	if cert != nil {
+		if err := cert.Err(); err != nil {
+			return nil, fmt.Errorf("core: plan for %s failed certification: %w", b.m.Name, err)
+		}
+	}
+	return cert, nil
 }
 
 // planFromPoint encodes a concrete (placement, secondary) assignment as

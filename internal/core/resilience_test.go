@@ -2,11 +2,13 @@ package core
 
 import (
 	"encoding/json"
+	"flag"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/etransform/etransform/internal/datagen"
 	"github.com/etransform/etransform/internal/lp"
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/resilience/faultinject"
@@ -173,5 +175,74 @@ func TestFallbackPaperFormulationUsesPairModel(t *testing.T) {
 	}
 	if len(plan.BackupServers) == 0 {
 		t.Error("DR fallback plan has no backup pools")
+	}
+}
+
+// cliSolve plans a ×0.25 Enterprise1 estate generated from seed the way
+// `etransform` does with the given solve flags, pins applied first.
+func cliSolve(t *testing.T, seed int64, args []string, pins ...[2]string) *model.Plan {
+	t.Helper()
+	cfg := datagen.Enterprise1()
+	cfg.Seed = seed
+	state, err := cfg.Scaled(0.25).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("etransform", flag.ContinueOnError)
+	opts := RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(state, *opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range pins {
+		if err := p.Pin(pin[0], pin[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// requireExactStage fails unless the plan came from the exact MILP stage
+// on its first attempt.
+func requireExactStage(t *testing.T, plan *model.Plan) {
+	t.Helper()
+	if d := plan.Stats.Degradation; d != nil && (d.Stage != lp.StageExact || len(d.Attempts) != 1) {
+		t.Fatalf("plan from stage %q after %d attempts, want a first-attempt exact-milp plan: %+v", d.Stage, len(d.Attempts), d)
+	}
+	if plan.Stats.Certificate == "" {
+		t.Error("plan was not certified")
+	}
+}
+
+// TestExactStageReencodesSlackPool: a node-limited DR incumbent that
+// keeps a backup pool larger than its assignment needs costs more in the
+// MILP objective than its plan evaluates to. The exact stage re-encodes
+// the assignment at its minimal cost instead of failing over to LP
+// rounding.
+func TestExactStageReencodesSlackPool(t *testing.T) {
+	plan := cliSolve(t, 1495613700813607033, []string{"-dr", "-nodes", "40", "-workers", "1"})
+	requireExactStage(t, plan)
+	if d := plan.Stats.Degradation; d == nil || d.Limit != lp.LimitNodes || d.Gap < 0 {
+		t.Errorf("want a node-limited surrender with a known gap, got %+v", d)
+	}
+}
+
+// TestPinnedGroupPlacedBeforeLargerGroups: the greedy warm start places
+// a pinned group before larger groups can fill its only site, so a
+// node-limited solve still has an incumbent.
+func TestPinnedGroupPlacedBeforeLargerGroups(t *testing.T) {
+	plan := cliSolve(t, 6178487593458811055, []string{"-nodes", "50", "-workers", "1"}, [2]string{"ag-0023", "target-4"})
+	requireExactStage(t, plan)
+	for _, a := range plan.Assignments {
+		if a.GroupID == "ag-0023" && a.PrimaryDC != "target-4" {
+			t.Errorf("pinned group placed at %s", a.PrimaryDC)
+		}
 	}
 }

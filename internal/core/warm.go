@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/tol"
@@ -129,9 +130,6 @@ func (b *builder) seedPoint() ([]float64, bool) {
 	if b.p.seedPlacement == nil {
 		return nil, false
 	}
-	if b.p.opts.DR && b.p.opts.Formulation == FormulationPaper {
-		return nil, false
-	}
 	return b.encodePoint(b.p.seedPlacement, b.p.seedSecondary)
 }
 
@@ -168,13 +166,18 @@ func (b *builder) primaryAvailable(i, a int) bool {
 	return false
 }
 
-// greedyPlacement packs groups (largest first) into the cheapest feasible
-// site by marginal cost, as a fast primal bound for the solver.
+// greedyPlacement packs groups (pinned first, then largest first) into
+// the cheapest feasible site by marginal cost, as a fast primal bound for
+// the solver. A pinned group has one site, so it goes in before larger
+// groups can fill that site.
 func (b *builder) greedyPlacement() ([]int, bool) {
 	s := b.s
 	load := make([]int, len(s.Target.DCs))
 	placement := make([]int, len(s.Groups))
 	order := sortedIndices(len(s.Groups), func(i int) float64 { return -float64(s.Groups[i].Servers) })
+	sort.SliceStable(order, func(a, c int) bool {
+		return s.Groups[order[a]].PinnedDC != "" && s.Groups[order[c]].PinnedDC == ""
+	})
 	for _, i := range order {
 		g := &s.Groups[i]
 		best := -1
@@ -422,8 +425,12 @@ func (b *builder) repairPools(placement, secondary []int) bool {
 // encodePoint converts a concrete (placement, secondary) into a full
 // variable vector for the pair-formulation model: placement counts, pool
 // sizes, and space-segment fills. Returns ok=false when a needed column
-// was pruned out of the model.
+// was pruned out of the model, and for the paper DR formulation, which
+// has no pair columns.
 func (b *builder) encodePoint(placement, secondary []int) ([]float64, bool) {
+	if b.p.opts.DR && b.p.opts.Formulation == FormulationPaper {
+		return nil, false
+	}
 	s := b.s
 	x := make([]float64, b.m.NumVars())
 	occ := make([]int, len(s.Target.DCs))

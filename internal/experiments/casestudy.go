@@ -10,7 +10,7 @@
 // concurrently across a bounded worker pool (Scale.SweepWorkers);
 // results are assembled by point index, so rendered output is identical
 // for any worker count. Per-solve branch & bound parallelism is
-// controlled separately through Scale.SolverWorkers and defaults to 1
+// controlled separately through Scale.Solver.Workers and defaults to 1
 // inside a concurrent sweep to avoid oversubscription.
 package experiments
 
@@ -24,7 +24,6 @@ import (
 	"github.com/etransform/etransform/internal/core"
 	"github.com/etransform/etransform/internal/datagen"
 	"github.com/etransform/etransform/internal/milp"
-	"github.com/etransform/etransform/internal/milp/cuts"
 	"github.com/etransform/etransform/internal/model"
 	"github.com/etransform/etransform/internal/obs"
 	"github.com/etransform/etransform/internal/report"
@@ -37,11 +36,11 @@ import (
 type Scale struct {
 	// Fraction scales case-study dataset sizes (1 = paper scale).
 	Fraction float64
-	// GapTol is the MILP relative optimality gap.
-	GapTol float64
-	// MaxNodes and TimeLimit bound branch & bound per solve.
-	MaxNodes  int
-	TimeLimit time.Duration
+	// Solver is the branch & bound configuration of every solve. A zero
+	// Solver.Workers picks a non-oversubscribing default: 1 inside a
+	// concurrent sweep (the sweep already saturates the cores),
+	// runtime.NumCPU() otherwise.
+	Solver milp.Options
 	// CandidateKLarge prunes candidates per group on estates with more
 	// than 20 target DCs (0 = never prune).
 	CandidateKLarge int
@@ -50,22 +49,6 @@ type Scale struct {
 	// runtime.NumCPU(). Results are assembled by point index, so output is
 	// identical for any value.
 	SweepWorkers int
-	// SolverWorkers sets the branch & bound worker count per solve. 0
-	// picks a non-oversubscribing default: 1 inside a concurrent sweep
-	// (the sweep already saturates the cores), runtime.NumCPU() otherwise.
-	SolverWorkers int
-	// ReuseBasis warm-starts each node LP from its parent's optimal
-	// basis (milp.Options.ReuseBasis). Same certified answers, fewer
-	// simplex pivots; off by default to keep default trajectories
-	// byte-stable.
-	ReuseBasis bool
-	// Cuts separates Gomory and cover cuts at the root node
-	// (milp.Options.Cuts). Same certified answers, tighter dual bound;
-	// off by default like ReuseBasis.
-	Cuts bool
-	// Kernel runs the kernel-search primal heuristic at the root
-	// (milp.Options.Kernel). Same certified answers, earlier incumbents.
-	Kernel bool
 	// CollectMetrics arms an observability registry on each solve so the
 	// result's SolveStats.Metrics snapshot carries the solver counters
 	// (pivots, warm hits, phase-1 skips, …). Off by default: metrics
@@ -75,27 +58,21 @@ type Scale struct {
 
 // FullScale solves the case studies at paper size.
 func FullScale() Scale {
-	return Scale{Fraction: 1, GapTol: 1e-3, MaxNodes: 50000, TimeLimit: 10 * time.Minute, CandidateKLarge: 12}
+	return Scale{Fraction: 1, Solver: milp.Options{GapTol: 1e-3, MaxNodes: 50000, TimeLimit: 10 * time.Minute}, CandidateKLarge: 12}
 }
 
 // BenchScale keeps the Federal-size case study inside a laptop budget
 // (the scaling is reported in the result name).
 func BenchScale() Scale {
-	return Scale{Fraction: 0.25, GapTol: 5e-3, MaxNodes: 4000, TimeLimit: time.Minute, CandidateKLarge: 8}
+	return Scale{Fraction: 0.25, Solver: milp.Options{GapTol: 5e-3, MaxNodes: 4000, TimeLimit: time.Minute}, CandidateKLarge: 8}
 }
 
 func (sc Scale) solver() milp.Options {
-	workers := sc.SolverWorkers
-	if workers <= 0 && sc.sweepWorkers() > 1 {
+	o := sc.Solver
+	if o.Workers <= 0 && sc.sweepWorkers() > 1 {
 		// The sweep fan-out already keeps every core busy; nested
 		// parallel solves would only oversubscribe.
-		workers = 1
-	}
-	o := milp.Options{
-		GapTol: sc.GapTol, MaxNodes: sc.MaxNodes, TimeLimit: sc.TimeLimit,
-		Workers: workers, ReuseBasis: sc.ReuseBasis,
-		Cuts:   cuts.Options{Enable: sc.Cuts},
-		Kernel: milp.KernelOptions{Enable: sc.Kernel},
+		o.Workers = 1
 	}
 	if sc.CollectMetrics {
 		o.Metrics = obs.NewMetrics()

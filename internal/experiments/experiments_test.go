@@ -7,10 +7,11 @@ import (
 	"time"
 
 	"github.com/etransform/etransform/internal/datagen"
+	"github.com/etransform/etransform/internal/milp"
 )
 
 func testScale() Scale {
-	return Scale{Fraction: 1, GapTol: 2e-3, MaxNodes: 3000, TimeLimit: 45 * time.Second}
+	return Scale{Fraction: 1, Solver: milp.Options{GapTol: 2e-3, MaxNodes: 3000, TimeLimit: 45 * time.Second}}
 }
 
 func TestTableII(t *testing.T) {

@@ -2,8 +2,9 @@ package lp
 
 // Limit names, recorded in Solution.Limit when a budget dimension ends a
 // search before optimality is proven. This is the single authoritative
-// set: Solution.Limit, DegradationReport.Limit and milp.Budget all speak
-// these strings and no others.
+// set: Solution.Limit and DegradationReport.Limit speak these strings
+// and no others, whichever of milp.Options.TimeLimit, MaxNodes or
+// Budget.MemoryBytes (or a simplex iteration limit) tripped.
 const (
 	// LimitWallClock means a wall-clock budget expired: the solve-wide
 	// deadline in branch & bound, or Options.Deadline inside a simplex

@@ -15,18 +15,12 @@ import (
 	"github.com/etransform/etransform/internal/tol"
 )
 
-// Budget bounds a whole solve across several dimensions at once. Hitting
-// any dimension is a graceful stop: the best incumbent is surrendered
-// with its certified gap, Status lp.StatusNodeLimit, and Solution.Limit
-// naming the dimension that tripped. The zero value imposes no extra
-// bounds beyond Options.MaxNodes/TimeLimit.
+// Budget bounds a solve beyond Options.TimeLimit and Options.MaxNodes.
+// Hitting it is a graceful stop, like hitting those two: the best
+// incumbent is surrendered with its certified gap, Status
+// lp.StatusNodeLimit, and Solution.Limit naming the dimension that
+// tripped. The zero value imposes no extra bound.
 type Budget struct {
-	// Wall caps wall-clock time; it composes with Options.TimeLimit (the
-	// earlier of the two wins). 0 means no wall budget.
-	Wall time.Duration
-	// Nodes caps explored branch & bound nodes; it composes with
-	// Options.MaxNodes (the smaller wins). 0 means no extra node budget.
-	Nodes int
 	// MemoryBytes caps the estimated memory held by *open* nodes (the
 	// frontier queue — the only part of the search whose footprint grows
 	// without bound). 0 means no memory budget. The estimate counts node
@@ -54,9 +48,7 @@ type Options struct {
 	// limit at or before the context deadline always yields the graceful
 	// lp.StatusNodeLimit — regardless of scheduling jitter at expiry.
 	TimeLimit time.Duration
-	// Budget bounds the solve across wall clock, nodes and open-node
-	// memory at once; see Budget. Each dimension composes with the
-	// corresponding single-dimension option (earlier/smaller wins).
+	// Budget bounds the open-node memory; see Budget.
 	Budget Budget
 	// PerturbSeed, when nonzero, deterministically permutes the order
 	// integer variables are scanned for branching (and therefore the
@@ -214,9 +206,6 @@ func SolveContext(ctx context.Context, model *lp.Model, opts *Options) (*lp.Solu
 		return nil, fmt.Errorf("milp: invalid model: %w", err)
 	}
 	o := opts.withDefaults()
-	if o.Budget.Nodes > 0 && o.Budget.Nodes < o.MaxNodes {
-		o.MaxNodes = o.Budget.Nodes
-	}
 	c := newCoordinator(ctx, o, model.Clone())
 	// The kernel heuristic launches recursive restricted solves and needs
 	// the full context, not just the Err-polling subset.
@@ -243,17 +232,13 @@ func SolveContext(ctx context.Context, model *lp.Model, opts *Options) (*lp.Solu
 			return &lp.Solution{Status: lp.StatusInfeasible}, nil
 		}
 	}
-	// Unify the option wall limits with the context deadline: the
-	// earliest wins, and *which* configured source is earliest decides
-	// the terminal status up front (StatusNodeLimit for option limits,
+	// Unify the option wall limit with the context deadline: the
+	// earlier wins, and *which* source is earlier decides the terminal
+	// status up front (StatusNodeLimit for the option limit,
 	// StatusCanceled for a strictly earlier context deadline), so expiry
 	// races cannot flip the outcome between runs.
-	wall := o.TimeLimit
-	if o.Budget.Wall > 0 && (wall <= 0 || o.Budget.Wall < wall) {
-		wall = o.Budget.Wall
-	}
-	if wall > 0 {
-		c.deadline = c.start.Add(wall)
+	if o.TimeLimit > 0 {
+		c.deadline = c.start.Add(o.TimeLimit)
 	}
 	if ctxDeadline, ok := ctx.Deadline(); ok {
 		if c.deadline.IsZero() || ctxDeadline.Before(c.deadline) {

@@ -15,7 +15,7 @@ import (
 // search with StatusNodeLimit and Limit naming the dimension.
 func TestBudgetNodesStopsGracefully(t *testing.T) {
 	m := stressModels()["knapsack30"]()
-	sol, err := Solve(m, &Options{Workers: 1, DisableDiving: true, Budget: Budget{Nodes: 3}})
+	sol, err := Solve(m, &Options{Workers: 1, DisableDiving: true, MaxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,14 +205,26 @@ func TestSubmitPollFetch(t *testing.T) {
 	}
 }
 
-// TestCacheHitOnResubmit pins the content-hash cache: resubmitting the
-// same model — even reformatted — answers 200 immediately with the
-// cached job bytes and increments serve.cache_hits exactly once.
+// TestCacheHitOnResubmit pins the content-hash cache: the key is the
+// state's canonical hash, and resubmitting the same model — even
+// reformatted — answers 200 immediately with the cached job bytes and
+// increments serve.cache_hits exactly once.
 func TestCacheHitOnResubmit(t *testing.T) {
 	srv, hs := startServer(t, Config{Core: testOptions()})
 	body := stateBytes(t, 0.1)
+	state, err := model.ReadState(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKey, err := model.CanonicalHash(state)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	first := submit(t, hs, body, "", http.StatusAccepted)
+	if first.CacheKey != wantKey {
+		t.Fatalf("cache_key = %s, want model.CanonicalHash %s", first.CacheKey, wantKey)
+	}
 	waitTerminal(t, hs, first.ID)
 	firstPlan := fetchPlan(t, hs, first.ID)
 	if hits := srv.Metrics().Counter(obs.MetricServeCacheHits); hits != 0 {
@@ -250,13 +262,9 @@ func TestCacheHitOnResubmit(t *testing.T) {
 	}
 
 	// A semantically different state must miss.
-	changed, err := model.ReadState(bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed.Groups[0].Servers++
+	state.Groups[0].Servers++
 	var cb bytes.Buffer
-	if err := model.WriteState(&cb, changed); err != nil {
+	if err := model.WriteState(&cb, state); err != nil {
 		t.Fatal(err)
 	}
 	third := submit(t, hs, cb.Bytes(), "", http.StatusAccepted)

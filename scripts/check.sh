@@ -8,6 +8,9 @@
 #                  match the reviewed allowlist
 #                  (scripts/nopanic_exemptions.txt) — worker panics must
 #                  convert to coordinator errors, not earn new markers
+#   3. planbench   go vet + go build inside planbench/, the benchmark's
+#                  own Go module: the root ./... never compiles it, so
+#                  an API change it depends on would otherwise go unseen
 #   4. go test     full suite under the race detector
 #   5. milp race   the parallel branch & bound, twice, under -race
 #   6. warm/cold   the warm-start equivalence suite (simplex SolveFrom
@@ -66,6 +69,9 @@ if ! diff -u scripts/nopanic_exemptions.txt /tmp/nopanic_exemptions.$$; then
     exit 1
 fi
 rm -f /tmp/nopanic_exemptions.$$
+
+echo "==> planbench module: go vet + go build"
+(cd planbench && go vet ./... && go build -o /dev/null ./...)
 
 echo "==> go test -race ./..."
 go test -race ./...

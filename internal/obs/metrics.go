@@ -28,10 +28,17 @@ const (
 	// restoration). DualPivots counts the dual-simplex pivots spent
 	// restoring primal feasibility; they are also included in
 	// MetricSimplexPivots so pivot totals reconcile with iterations.
-	MetricSimplexWarmHits      = "simplex.warm_hits"
-	MetricSimplexWarmMisses    = "simplex.warm_misses"
-	MetricSimplexPhase1Skipped = "simplex.phase1_skipped"
-	MetricSimplexDualPivots    = "simplex.dual_pivots"
+	// WarmAbandonedPivots counts the basis changes of restores whose
+	// work was thrown away (a miss: SolveFrom's cold fallback or an
+	// abandoned TryWarm); they are in neither Pivots nor DualPivots.
+	// WarmStaleCap counts restores that stopped at the pivot cap rather
+	// than on a proof that no column can repair the leaving row.
+	MetricSimplexWarmHits            = "simplex.warm_hits"
+	MetricSimplexWarmMisses          = "simplex.warm_misses"
+	MetricSimplexPhase1Skipped       = "simplex.phase1_skipped"
+	MetricSimplexDualPivots          = "simplex.dual_pivots"
+	MetricSimplexWarmAbandonedPivots = "simplex.warm_abandoned_pivots"
+	MetricSimplexWarmStaleCap        = "simplex.warm_stale_cap"
 
 	// Sparse-engine counters. Factorizations counts every sparse-LU
 	// build (initial, eta-cap, drift, tiny-pivot recovery) — a superset

@@ -49,6 +49,22 @@
 // layouts, update formulas, the refactorization policy and the exact
 // tolerance each guard uses.
 //
+// # Warm starts
+//
+// Solver.Basis snapshots an optimal basis; SolveFrom and TryWarm
+// reinstall it under a child's tightened bounds (one refactorization)
+// and skip phase 1. A bounded dual simplex (warm.go) restores primal
+// feasibility while keeping the basis dual feasible: one BTRAN per
+// iteration for the leaving row, the pivot row from the CSR pass,
+// reduced costs computed once and then updated from each pivot row, and
+// a Harris two-pass, bound-flipping ratio test whose passed boxed
+// columns flip together under one FTRAN. Only basis changes count
+// against the 100 + 2m cap. A restore that runs out of breakpoints
+// (the child is LP-infeasible) or hits the cap is stale: SolveFrom
+// falls back to the cold two-phase path, TryWarm reports ok=false.
+// Either way phase 2 proves optimality from exact reduced costs, so the
+// warm path changes the route, never the answer.
+//
 // Integrality markers on the model are ignored: Solve always solves the
 // continuous relaxation. Package milp layers branch & bound on top.
 //

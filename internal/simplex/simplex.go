@@ -180,6 +180,13 @@ type tableau struct {
 	rho        []float64
 	rhsBuf     []float64
 
+	// Dual-restore scratch (warm.go): dualCand holds the ratio test's
+	// remaining breakpoint candidates, flips the boxed columns one dual
+	// step passes, flipCol their combined column A·Δx_flipped.
+	dualCand []int32
+	flips    []int32
+	flipCol  []float64
+
 	phase     int
 	iters     int
 	degenRun  int
@@ -195,11 +202,15 @@ type tableau struct {
 	// that completed on the warm path; warmMisses marks a solve that was
 	// offered a basis but ran the cold two-phase path; dualPivots counts
 	// dual-simplex restoration pivots (also included in iters, so pivot
-	// totals keep reconciling with Solution.Iterations).
-	warmHits   int
-	warmMisses int
-	p1Skipped  int
-	dualPivots int
+	// totals keep reconciling with Solution.Iterations). An abandoned
+	// restore's basis changes move out of iters and dualPivots into
+	// warmAbandoned; warmStaleCap marks a restore that hit its pivot cap.
+	warmHits      int
+	warmMisses    int
+	p1Skipped     int
+	dualPivots    int
+	warmAbandoned int
+	warmStaleCap  int
 	// Sparse-engine counters: basis factorizations (initial, periodic
 	// and recovery), eta updates appended between them, columns examined
 	// by pricing, and the worst relative primal drift observed at a
@@ -244,6 +255,8 @@ func (t *tableau) reset(model *lp.Model, opts *Options) error {
 	t.warmMisses = 0
 	t.p1Skipped = 0
 	t.dualPivots = 0
+	t.warmAbandoned = 0
+	t.warmStaleCap = 0
 	t.lastOptimal = false
 	t.limit = ""
 	t.pricedCost = nil
@@ -286,9 +299,11 @@ func (t *tableau) reset(model *lp.Model, opts *Options) error {
 		if t.la == nil {
 			t.la = &sparseLA{}
 		}
-		t.dj = reuseF64(t.dj, t.nTotal)
 		t.gamma = reuseF64(t.gamma, t.nTotal)
 	}
+	// Maintained reduced costs: the sparse pivot loop's pricing state,
+	// and on either engine the dual restore's.
+	t.dj = reuseF64(t.dj, t.nTotal)
 	t.alpha = reuseF64(t.alpha, t.nTotal)
 	t.touch = reuseI32(t.touch, t.nTotal)
 	t.alphaNZ = t.alphaNZ[:0]
@@ -898,8 +913,7 @@ func (t *tableau) updateBinv(r int, w []float64) {
 }
 
 // recomputeXB recomputes basic values exactly from nonbasic values:
-// xB = B⁻¹·(b − N·xN). One FTRAN on the sparse engine, an explicit
-// inverse-times-vector on the dense one.
+// xB = B⁻¹·(b − N·xN), with one ftranVec.
 func (t *tableau) recomputeXB() {
 	m := t.m
 	t.rhsBuf = reuseF64(t.rhsBuf, m)
@@ -914,24 +928,10 @@ func (t *tableau) recomputeXB() {
 			rhs[r] -= c.coefs[k] * t.value[j]
 		}
 	}
-	if t.la != nil {
-		t.la.ftran(rhs)
-		for i := 0; i < m; i++ {
-			t.xB[i] = rhs[i]
-			t.value[t.basicIn[i]] = rhs[i]
-		}
-		return
-	}
+	t.ftranVec(rhs)
 	for i := 0; i < m; i++ {
-		row := t.binv[i*m : (i+1)*m]
-		s := 0.0
-		for k, v := range row {
-			if !tol.IsZero(v) {
-				s += v * rhs[k]
-			}
-		}
-		t.xB[i] = s
-		t.value[t.basicIn[i]] = s
+		t.xB[i] = rhs[i]
+		t.value[t.basicIn[i]] = rhs[i]
 	}
 }
 
@@ -1059,6 +1059,12 @@ func (t *tableau) foldMetrics() {
 	}
 	if t.dualPivots > 0 {
 		m.Add(obs.MetricSimplexDualPivots, int64(t.dualPivots))
+	}
+	if t.warmAbandoned > 0 {
+		m.Add(obs.MetricSimplexWarmAbandonedPivots, int64(t.warmAbandoned))
+	}
+	if t.warmStaleCap > 0 {
+		m.Add(obs.MetricSimplexWarmStaleCap, int64(t.warmStaleCap))
 	}
 	// Sparse-engine counters, likewise folded only when nonzero so the
 	// dense reference engine's metric snapshots do not grow new keys.

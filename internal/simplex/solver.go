@@ -85,12 +85,15 @@ func (s *Solver) solve(ctx context.Context, model *lp.Model, basis *Basis) (*lp.
 		// Stale basis: rebuild the tableau and run the cold two-phase
 		// path. The abandoned restoration pivots are wiped with the
 		// tableau, so the folded pivot totals keep matching the returned
-		// Solution.Iterations.
+		// Solution.Iterations; they survive only as the abandoned-work
+		// counters.
+		abandoned, capped := s.t.dualPivots, s.t.warmStaleCap
 		if err := s.t.reset(model, &s.opts); err != nil {
 			return nil, err
 		}
 		s.t.ctx = ctx
 		s.t.warmMisses = 1
+		s.t.warmAbandoned, s.t.warmStaleCap = abandoned, capped
 	}
 	sol, err := s.t.solve()
 	// Fold this solve's local counters into the metrics registry (nil-

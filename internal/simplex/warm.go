@@ -139,10 +139,13 @@ func (s *Solver) SolveFromContext(ctx context.Context, model *lp.Model, basis *B
 // TryWarm attempts the warm path from basis WITHOUT the cold fallback
 // SolveFrom would run on a stale basis: ok=false means the basis could
 // not be restored here (wrong shape, invalid statuses under the current
-// bounds, singular, or dual restoration stalled) and only the staleness
-// detection was paid — no two-phase solve ran, and the abandoned pivots
-// are excluded from any returned iteration counts exactly as on
-// SolveFrom's miss path.
+// bounds, singular, no column able to repair an infeasible row — the
+// child is then usually LP-infeasible — or the restoration pivot cap)
+// and no two-phase solve ran. What the abandoned restore did spend is
+// excluded from the returned and folded pivot counts exactly as on
+// SolveFrom's miss path, and reported instead as
+// simplex.warm_abandoned_pivots (and simplex.warm_stale_cap when the
+// cap stopped it).
 //
 // The intended caller is a heuristic (the branch & bound dive) that
 // would rather abandon the subproblem than pay a full cold solve its
@@ -165,7 +168,9 @@ func (s *Solver) TryWarm(model *lp.Model, basis *Basis) (sol *lp.Solution, ok bo
 	s.t.ctx = nil
 	sol, done, err := s.t.solveWarm(basis)
 	if !done {
-		s.t.warmMisses = 1
+		t := &s.t
+		t.warmMisses = 1
+		t.warmAbandoned, t.iters, t.dualPivots = t.dualPivots, 0, 0
 	}
 	s.t.foldMetrics()
 	if err != nil || !done {
@@ -284,40 +289,56 @@ const (
 	restoreLimit
 )
 
-// dualRestore runs bounded-variable dual simplex pivots until every
-// basic variable is back inside its bounds. The inherited basis is dual
-// feasible for the child (the cost vector and constraint matrix match
-// the parent's solve exactly; only bounds moved), so the dual ratio
-// test keeps reduced costs sign-correct while each pivot drives the
-// most-violated basic variable to its bound. Dual feasibility is an
-// efficiency argument here, not a correctness dependency: whatever
-// basis restoration ends on, finishPhase2 runs primal simplex to
-// proven optimality, and any failure to terminate is caught by the
-// pivot cap and surrendered to the cold path.
+// dualRestore runs a bounded dual simplex from the installed basis
+// until every basic variable is back inside its bounds. The inherited
+// basis is dual feasible for the child (the cost vector and constraint
+// matrix match the parent's solve exactly; only bounds moved), and every
+// iteration keeps it so:
+//
+//   - the leaving row r is the most violated basic bound;
+//   - one BTRAN gives ρ_r, and the pivot row α_r = ρ_rᵀA comes from the
+//     CSR pass (pivotRowAlphas), touching only rows where ρ_r is nonzero;
+//   - a Harris two-pass, bound-flipping ratio test (dualRatioTest) picks
+//     the entering column and the boxed columns whose breakpoints the
+//     dual step passes; those flip to their opposite bound together, and
+//     their combined column costs one FTRAN to update x_B;
+//   - reduced costs, computed exactly once up front, are updated from
+//     α_r (d_j −= θ·α_rj) instead of being re-priced.
+//
+// Only basis changes count against the cap and as iterations; flips are
+// part of the iteration that takes the dual step. Dual feasibility is an
+// efficiency argument here, not a correctness dependency: whatever basis
+// restoration ends on, finishPhase2 runs primal simplex to optimality
+// proven from exact reduced costs, and a degenerate or cycling restore
+// is caught by the cap and surrendered to the cold path.
 func (t *tableau) dualRestore() (dualOutcome, error) {
-	const pivTol = tol.Pivot
-	m := t.m
+	n, m := t.nStruct, t.m
 	t.phase = 2
 	t.pricedCost = t.cost
-	y := t.workRow
-	// A child differs from its parent by one bound, so restoration
-	// should take a handful of pivots; the cap bounds the cost of a
-	// degenerate or cycling case before surrendering to the cold path.
+	t.recomputeDj()
+	t.flipCol = reuseF64(t.flipCol, m)
+	// A child differs from its parent by a few bounds, so restoration
+	// should take a handful of basis changes; the cap bounds the cost of
+	// a degenerate or cycling case before surrendering to the cold path.
 	maxPivots := 100 + 2*m
-	for p := 0; p < maxPivots; p++ {
+	for {
 		// Leaving row: the most-violated basic bound.
-		r, toLower, worst := -1, false, t.opts.FeasTol
+		r, toUpper, infeas := -1, false, t.opts.FeasTol
 		for i := 0; i < m; i++ {
 			bi := t.basicIn[i]
-			if v := t.lower[bi] - t.xB[i]; v > worst {
-				r, toLower, worst = i, true, v
+			if v := t.lower[bi] - t.xB[i]; v > infeas {
+				r, toUpper, infeas = i, false, v
 			}
-			if v := t.xB[i] - t.upper[bi]; v > worst {
-				r, toLower, worst = i, false, v
+			if v := t.xB[i] - t.upper[bi]; v > infeas {
+				r, toUpper, infeas = i, true, v
 			}
 		}
 		if r < 0 {
 			return restoreOK, nil
+		}
+		if t.dualPivots >= maxPivots {
+			t.warmStaleCap++
+			return restoreStale, nil
 		}
 		if t.iters >= t.opts.MaxIters {
 			t.limit = lp.LimitIterations
@@ -341,112 +362,216 @@ func (t *tableau) dualRestore() (dualOutcome, error) {
 			}
 		}
 
-		bi := t.basicIn[r]
-		target, leaveStatus := t.lower[bi], atLower
-		if !toLower {
-			target, leaveStatus = t.upper[bi], atUpper
+		// Leaving to the upper bound the dual step θ is ≥ 0, to the lower
+		// bound ≤ 0; sgn carries that sign so the ratio test sees t = |θ|.
+		p := t.basicIn[r]
+		target, leaveStatus, sgn := t.lower[p], atLower, -1.0
+		if toUpper {
+			target, leaveStatus, sgn = t.upper[p], atUpper, 1.0
 		}
-		rho := t.binvRow(r)
-		t.computeDuals(y)
-
-		// Dual ratio test: among nonbasic columns able to move xB[r]
-		// toward its violated bound, pick the one whose reduced cost
-		// reaches zero first (min |d|/|α|), tie-broken on the larger
-		// pivot magnitude for stability.
-		enter := -1
-		var enterDir, enterAlpha float64
-		bestRatio := math.Inf(1)
-		for j := 0; j < t.nStruct+m; j++ { // artificials frozen: skip
-			st := t.status[j]
-			if st == basic {
-				continue
-			}
-			if tol.Same(t.lower[j], t.upper[j]) && st != freeAtZero {
-				continue // fixed
-			}
-			c := t.cols[j]
-			alpha := 0.0
-			for k, ri := range c.rows {
-				alpha += rho[ri] * c.coefs[k]
-			}
-			if math.Abs(alpha) <= pivTol {
-				continue
-			}
-			// Moving j by a positive step in direction dir changes xB[r]
-			// by −dir·step·α; choose dir so the violated bound is
-			// approached, and require j's status to permit it.
-			var dir float64
-			if toLower == (alpha < 0) {
-				dir = 1
-			} else {
-				dir = -1
-			}
-			if (dir > 0 && st == atUpper) || (dir < 0 && st == atLower) {
-				continue
-			}
-			d := t.reducedCost(j, y)
-			ratio := math.Abs(d) / math.Abs(alpha)
-			if ratio < bestRatio-tol.Tie ||
-				(ratio < bestRatio+tol.Tie && (enter < 0 || math.Abs(alpha) > math.Abs(enterAlpha))) {
-				bestRatio = ratio
-				enter, enterDir, enterAlpha = j, dir, alpha
-			}
-		}
-		if enter < 0 {
+		t.pivotRowAlphas(t.binvRow(r))
+		q, step := t.dualRatioTest(sgn, infeas)
+		if q < 0 {
 			// No column can repair the violation: the child LP is primal
 			// infeasible, or the basis is numerically useless. The cold
 			// path delivers the authoritative verdict either way.
 			return restoreStale, nil
 		}
-
-		t.ftran(enter)
-		w := t.workCol // w[r] equals enterAlpha: both are Binv row r · A_j
-
-		step := (t.xB[r] - target) / (enterDir * w[r])
-		if step < 0 {
-			step = 0
-		}
-		// If the entering variable would cross its opposite bound before
-		// the violated row reaches its bound, bound-flip it (basis
-		// unchanged) and re-examine the row.
-		if rng := t.upper[enter] - t.lower[enter]; !math.IsInf(rng, 1) && rng < step {
-			t.iters++
-			t.dualPivots++
-			for i := 0; i < m; i++ {
-				if !tol.IsZero(w[i]) {
-					t.xB[i] -= enterDir * rng * w[i]
-					t.value[t.basicIn[i]] = t.xB[i]
-				}
-			}
-			if enterDir > 0 {
-				t.value[enter] = t.upper[enter]
-				t.status[enter] = atUpper
-			} else {
-				t.value[enter] = t.lower[enter]
-				t.status[enter] = atLower
-			}
-			continue
+		t.applyFlips()
+		t.ftran(q)
+		w := t.workCol // w[r] equals α_rq: both are row r of B⁻¹A_q
+		if math.Abs(w[r]) < tol.Pivot {
+			// The row and the column disagree on a usable pivot: the
+			// factors have drifted too far to trust this basis.
+			return restoreStale, nil
 		}
 
+		// Dual step: d_j −= θ·α_rj over the pivot row; the leaving column
+		// picks up −θ (its α is 1), the entering one drops to 0.
+		theta := sgn * step
+		for _, jc := range t.alphaNZ {
+			j := int(jc)
+			if j >= n+m || j == q || t.status[j] == basic {
+				continue
+			}
+			t.dj[j] -= theta * t.alpha[j]
+		}
+		t.dj[p] = -theta
+		t.dj[q] = 0
+		t.djExact = false
+
+		// Primal step: the entering column moves until the leaving basic
+		// variable sits exactly on its violated bound.
 		t.iters++
 		t.dualPivots++
+		thetaP := (t.xB[r] - target) / w[r]
 		for i := 0; i < m; i++ {
 			if !tol.IsZero(w[i]) {
-				t.xB[i] -= enterDir * step * w[i]
+				t.xB[i] -= thetaP * w[i]
 				t.value[t.basicIn[i]] = t.xB[i]
 			}
 		}
-		// The leaving variable exits exactly at its violated bound.
-		enterVal := t.value[enter] + enterDir*step
-		t.value[bi] = target
-		t.status[bi] = leaveStatus
-		t.inRow[bi] = -1
-		t.basicIn[r] = int32(enter)
-		t.inRow[enter] = int32(r)
-		t.status[enter] = basic
-		t.value[enter] = enterVal
+		enterVal := t.value[q] + thetaP
+		t.value[p] = target
+		t.status[p] = leaveStatus
+		t.inRow[p] = -1
+		t.basicIn[r] = int32(q)
+		t.inRow[q] = int32(r)
+		t.status[q] = basic
+		t.value[q] = enterVal
 		t.xB[r] = enterVal
 		t.updateBasisLA(r, w)
 	}
-	return restoreStale, nil
+}
+
+// dualSlack returns nonbasic column j's signed distance from dual
+// infeasibility (d_j at its lower bound, −d_j at its upper; 0 for a free
+// column, which any dual step makes infeasible) and the rate |α_rj| at
+// which a dual step of sign sgn consumes it. A zero rate means the step
+// moves d_j away from infeasibility, or j cannot enter at all (basic,
+// fixed, artificial, or a pivot below tol.Pivot).
+func (t *tableau) dualSlack(j int, sgn float64) (slack, rate float64) {
+	if j >= t.nStruct+t.m || t.priceSkip(j) {
+		return 0, 0
+	}
+	a := sgn * t.alpha[j]
+	if math.Abs(a) < tol.Pivot {
+		return 0, 0
+	}
+	switch t.status[j] {
+	case atLower:
+		if a > 0 {
+			return t.dj[j], a
+		}
+	case atUpper:
+		if a < 0 {
+			return -t.dj[j], -a
+		}
+	case freeAtZero:
+		return 0, math.Abs(a)
+	}
+	return 0, 0
+}
+
+// dualRatioTest is the Harris two-pass, bound-flipping ratio test over
+// the pivot row in t.alpha/t.alphaNZ for a dual step of sign sgn out of
+// a leaving row that is infeas outside its bound (Fourer 1994;
+// Koberstein 2005, §3.1.3). Each round of passes works on the remaining
+// breakpoints: pass 1 bounds the step by the smallest breakpoint widened
+// by the dual tolerance, pass 2 takes, among the breakpoints inside that
+// bound, the largest |α_rj| (then the lowest index). While every column
+// in the round is boxed and flipping them all still leaves the row
+// infeasible by more than FeasTol (the dual objective's slope stays
+// positive), the round's columns are queued in t.flips and the test
+// moves on past them. It
+// returns the entering column and the step length |θ| (clipped at 0
+// when Harris' tolerance admits a slightly wrong-signed d_q), or -1 when
+// the breakpoints run out: the row cannot be repaired.
+func (t *tableau) dualRatioTest(sgn, infeas float64) (enter int, step float64) {
+	tolD := t.opts.OptTol
+	cand := t.dualCand[:0]
+	for _, jc := range t.alphaNZ {
+		if _, rate := t.dualSlack(int(jc), sgn); rate > 0 {
+			cand = append(cand, jc)
+		}
+	}
+	t.flips = t.flips[:0]
+	slope := infeas
+	enter = -1
+	for len(cand) > 0 {
+		bound := math.Inf(1)
+		for _, jc := range cand {
+			slack, rate := t.dualSlack(int(jc), sgn)
+			bound = math.Min(bound, (slack+tolD)/rate)
+		}
+		q, qRate, passed, boxed := -1, 0.0, 0.0, true
+		for _, jc := range cand {
+			j := int(jc)
+			slack, rate := t.dualSlack(j, sgn)
+			if slack/rate > bound {
+				continue
+			}
+			if q < 0 || rate > qRate || (tol.Same(rate, qRate) && j < q) {
+				q, qRate = j, rate
+			}
+			if rng := t.upper[j] - t.lower[j]; math.IsInf(rng, 1) {
+				boxed = false
+			} else {
+				passed += rng * rate
+			}
+		}
+		if !boxed || slope-passed <= t.opts.FeasTol {
+			slack, _ := t.dualSlack(q, sgn)
+			t.dualCand = cand
+			return q, math.Max(slack/qRate, 0)
+		}
+		// Every breakpoint in the round is passed: flip those columns and
+		// keep going with the rest.
+		slope -= passed
+		keep := cand[:0]
+		for _, jc := range cand {
+			if slack, rate := t.dualSlack(int(jc), sgn); slack/rate <= bound {
+				t.flips = append(t.flips, jc)
+			} else {
+				keep = append(keep, jc)
+			}
+		}
+		cand = keep
+	}
+	t.dualCand = cand
+	return -1, 0
+}
+
+// applyFlips moves every column dualRatioTest queued in t.flips to its
+// opposite bound and updates the basic values for all of them with one
+// FTRAN of their combined column: Δx_B = −B⁻¹·Σ A_j·Δx_j.
+func (t *tableau) applyFlips() {
+	if len(t.flips) == 0 {
+		return
+	}
+	a := t.flipCol
+	for _, jc := range t.flips {
+		j := int(jc)
+		delta := t.upper[j] - t.lower[j]
+		if t.status[j] == atUpper {
+			t.value[j], t.status[j] = t.lower[j], atLower
+			delta = -delta
+		} else {
+			t.value[j], t.status[j] = t.upper[j], atUpper
+		}
+		c := t.cols[j]
+		for k, r := range c.rows {
+			a[r] += c.coefs[k] * delta
+		}
+	}
+	t.ftranVec(a)
+	for i, v := range a {
+		if !tol.IsZero(v) {
+			t.xB[i] -= v
+			t.value[t.basicIn[i]] = t.xB[i]
+		}
+		a[i] = 0
+	}
+}
+
+// ftranVec overwrites v with B⁻¹·v: one FTRAN on the sparse engine, an
+// explicit inverse-times-vector (into the t.workCol scratch) on the
+// dense one.
+func (t *tableau) ftranVec(v []float64) {
+	if t.la != nil {
+		t.la.ftran(v)
+		return
+	}
+	m := t.m
+	out := t.workCol
+	for i := 0; i < m; i++ {
+		s := 0.0
+		for k, b := range t.binv[i*m : (i+1)*m] {
+			if !tol.IsZero(b) {
+				s += b * v[k]
+			}
+		}
+		out[i] = s
+	}
+	copy(v, out)
 }

@@ -387,3 +387,222 @@ func TestTryWarmRejectsForeignAndNilBasis(t *testing.T) {
 		t.Fatalf("nil basis: sol=%v ok=%v err=%v, want abandon", sol, ok, err)
 	}
 }
+
+// assignmentLP is a random fractional assignment relaxation: items
+// with integer weights, each assigned (x_ij ∈ [0,1], Σ_j x_ij = 1) to
+// one of a few capacity-limited bins — the shape of the planner's
+// placement LPs, where boxed columns dominate.
+func assignmentLP(rng *rand.Rand) *lp.Model {
+	items, bins := 2+rng.Intn(6), 2+rng.Intn(3)
+	m := lp.NewModel("assign")
+	w := make([]float64, items)
+	total := 0.0
+	for i := range w {
+		w[i] = float64(1 + rng.Intn(9))
+		total += w[i]
+	}
+	for i := 0; i < items*bins; i++ {
+		m.AddContinuous("", 0, 1, float64(1+rng.Intn(20)))
+	}
+	for i := 0; i < items; i++ {
+		var terms []lp.Term
+		for j := 0; j < bins; j++ {
+			terms = append(terms, lp.Term{Var: lp.VarID(i*bins + j), Coef: 1})
+		}
+		m.AddRow("", terms, lp.EQ, 1)
+	}
+	for j := 0; j < bins; j++ {
+		var terms []lp.Term
+		for i := 0; i < items; i++ {
+			terms = append(terms, lp.Term{Var: lp.VarID(i*bins + j), Coef: w[i]})
+		}
+		m.AddRow("", terms, lp.LE, math.Ceil(total*(0.6+0.5*rng.Float64())/float64(bins)))
+	}
+	return m
+}
+
+// diveLike fixes 2–8 variables at once to an integer next to their
+// parent value (mostly the nearest, sometimes the other side), the way
+// the branch & bound dive fixes every settled variable in one pass.
+func diveLike(m *lp.Model, sol *lp.Solution, rng *rand.Rand) {
+	for k := 2 + rng.Intn(7); k > 0; k-- {
+		j := lp.VarID(rng.Intn(m.NumVars()))
+		v := m.Var(j)
+		x := math.Round(sol.X[j])
+		if rng.Intn(3) == 0 {
+			x = math.Floor(sol.X[j])
+			if x == math.Round(sol.X[j]) {
+				x = math.Ceil(sol.X[j] + 0.5)
+			}
+		}
+		x = math.Max(v.Lower, math.Min(v.Upper, x))
+		m.SetBounds(j, x, x)
+	}
+}
+
+// TestWarmRestoreNoPingPong pins a child LP on which a dual restore
+// that flips a boxed column without taking a dual step ping-pongs that
+// column between two rows until the pivot cap, then pays for a cold
+// solve on top. Four items (weights 2, 8, 9, 2) go to four bins of
+// capacity 6; the child fixes item 0 into bin 3 and bars item 2 from
+// bins 1 and 2. A bounded dual simplex restores it warm.
+func TestWarmRestoreNoPingPong(t *testing.T) {
+	costs := [4][4]float64{{13, 17, 20, 9}, {4, 4, 13, 15}, {20, 2, 4, 13}, {16, 4, 5, 18}}
+	weights := [4]float64{2, 8, 9, 2}
+	m := lp.NewModel("pingpong")
+	for i := range costs {
+		for j := range costs[i] {
+			m.AddContinuous("", 0, 1, costs[i][j])
+		}
+	}
+	for i := range costs {
+		var terms []lp.Term
+		for j := range costs[i] {
+			terms = append(terms, lp.Term{Var: lp.VarID(4*i + j), Coef: 1})
+		}
+		m.AddRow("", terms, lp.EQ, 1)
+	}
+	for j := 0; j < 4; j++ {
+		var terms []lp.Term
+		for i, w := range weights {
+			terms = append(terms, lp.Term{Var: lp.VarID(4*i + j), Coef: w})
+		}
+		m.AddRow("", terms, lp.LE, 6)
+	}
+	s := NewSolver(nil)
+	if psol, err := s.Solve(m); err != nil || psol.Status != lp.StatusOptimal {
+		t.Fatalf("parent solve: %v, %v", psol, err)
+	}
+	basis := s.Basis()
+	if basis == nil {
+		t.Fatal("no parent basis")
+	}
+	child := m.Clone()
+	child.SetBounds(3, 1, 1)
+	child.SetBounds(9, 0, 0)
+	child.SetBounds(10, 0, 0)
+
+	want, err := Solve(child, nil)
+	if err != nil || want.Status != lp.StatusOptimal {
+		t.Fatalf("cold child solve: %v, %v", want, err)
+	}
+	if math.Abs(want.Objective-36.013888888888886) > 1e-9 {
+		t.Fatalf("cold child objective %v, want 36.013888888888886", want.Objective)
+	}
+	met := obs.NewMetrics()
+	got, err := NewSolver(&Options{Metrics: met}).SolveFrom(child, basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != lp.StatusOptimal || math.Abs(got.Objective-want.Objective) > 1e-9 {
+		t.Fatalf("warm child (%v, %v), cold (%v, %v)", got.Status, got.Objective, want.Status, want.Objective)
+	}
+	if h, miss := met.Counter(obs.MetricSimplexWarmHits), met.Counter(obs.MetricSimplexWarmMisses); h != 1 || miss != 0 {
+		t.Fatalf("warm_hits = %d, warm_misses = %d, want 1/0", h, miss)
+	}
+	if c := met.Counter(obs.MetricSimplexWarmStaleCap); c != 0 {
+		t.Fatalf("warm_stale_cap = %d, want 0", c)
+	}
+}
+
+// TestWarmDiveFixingsProperty runs dive-style children — a parent with
+// 2–8 variables fixed at once — over random box and assignment LPs.
+// Every warm solve must agree with a cold one on status and objective;
+// every restore that reports primal feasibility must leave exact reduced
+// costs dual feasible within OptTol (the ratio test kept the basis dual
+// feasible); and no restore may end at the pivot cap.
+func TestWarmDiveFixingsProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(2024))
+	restored := 0
+	for trial := 0; trial < 200; trial++ {
+		// Draw parents until one solves to an optimal basis.
+		var parent *lp.Model
+		var psol *lp.Solution
+		var basis *Basis
+		for basis == nil {
+			parent = randomBoxLP(rng)
+			if trial%2 == 1 {
+				parent = assignmentLP(rng)
+			}
+			ps := NewSolver(nil)
+			var err error
+			if psol, err = ps.Solve(parent); err != nil {
+				t.Fatalf("trial %d: parent solve: %v", trial, err)
+			}
+			basis = ps.Basis()
+		}
+		child := parent.Clone()
+		diveLike(child, psol, rng)
+
+		// The restore alone, on the tableau's internals.
+		s := NewSolver(nil)
+		if err := s.t.reset(child, &s.opts); err != nil {
+			t.Fatalf("trial %d: reset: %v", trial, err)
+		}
+		if s.t.installBasis(basis) {
+			out, err := s.t.dualRestore()
+			if err != nil {
+				t.Fatalf("trial %d: restore: %v", trial, err)
+			}
+			if s.t.warmStaleCap != 0 {
+				t.Fatalf("trial %d: restore hit the pivot cap after %d pivots", trial, s.t.dualPivots)
+			}
+			if out == restoreOK {
+				restored++
+				assertDualFeasible(t, trial, &s.t)
+			}
+		}
+
+		met := obs.NewMetrics()
+		got, err := NewSolver(&Options{Metrics: met}).SolveFrom(child, basis)
+		if err != nil {
+			t.Fatalf("trial %d: warm solve: %v", trial, err)
+		}
+		want, err := Solve(child, nil)
+		if err != nil {
+			t.Fatalf("trial %d: cold solve: %v", trial, err)
+		}
+		if got.Status != want.Status {
+			t.Fatalf("trial %d: warm status %v, cold status %v", trial, got.Status, want.Status)
+		}
+		if got.Status == lp.StatusOptimal {
+			if diff := math.Abs(got.Objective - want.Objective); diff > 1e-6*math.Max(1, math.Abs(want.Objective)) {
+				t.Fatalf("trial %d: warm objective %v, cold %v", trial, got.Objective, want.Objective)
+			}
+		}
+		if c := met.Counter(obs.MetricSimplexWarmStaleCap); c != 0 {
+			t.Fatalf("trial %d: warm_stale_cap = %d", trial, c)
+		}
+	}
+	if restored < 80 {
+		t.Fatalf("only %d restores reached primal feasibility; generator too restrictive", restored)
+	}
+}
+
+// assertDualFeasible recomputes the reduced costs exactly from the
+// tableau's factors and fails unless every nonbasic, non-fixed column
+// has the sign its bound status requires, within OptTol.
+func assertDualFeasible(t *testing.T, trial int, tb *tableau) {
+	t.Helper()
+	y := make([]float64, tb.m)
+	tb.computeDuals(y)
+	optTol := tb.opts.OptTol
+	for j := 0; j < tb.nStruct+tb.m; j++ {
+		if tb.priceSkip(j) {
+			continue
+		}
+		d := tb.reducedCost(j, y)
+		bad := false
+		switch tb.status[j] {
+		case atLower:
+			bad = d < -optTol
+		case atUpper:
+			bad = d > optTol
+		case freeAtZero:
+			bad = math.Abs(d) > optTol
+		}
+		if bad {
+			t.Fatalf("trial %d: column %d (status %d) has reduced cost %g after restore", trial, j, tb.status[j], d)
+		}
+	}
+}

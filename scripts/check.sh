@@ -49,6 +49,11 @@
 #                  the same state — byte-equal after dropping the two
 #                  wall-clock fields — then resubmit the same state and
 #                  require a cache hit (serve.cache_hits counter)
+#  15. warm cap    the enterprise1 x0.25 planner solve with warm-started
+#                  node LPs (-warmlp) at -workers 1: no dual-simplex
+#                  restore may stop at its pivot cap
+#                  (simplex.warm_stale_cap must be 0; the count is exact
+#                  at one worker)
 #
 # Run from anywhere; it operates on the repo root. Exits non-zero on the
 # first failing stage.
@@ -253,5 +258,34 @@ echo "    cache hit on resubmission (serve.cache_hits=$hits)"
 kill "$ETSERVE_PID" 2>/dev/null || true
 wait "$ETSERVE_PID" 2>/dev/null || true
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+echo "==> warm restore cap check (enterprise1 x0.25, -warmlp, -workers 1)"
+# A capped restore is wasted work: its pivots are discarded and the
+# node LP is re-solved cold (or the dive abandoned). The bounded dual
+# simplex keeps the inherited basis dual feasible, so none should cap.
+go run ./cmd/etdatagen -dataset enterprise1 -scale 0.25 -o "$SMOKE_DIR/warm.json"
+rc=0
+"$SMOKE_DIR/etransform" -state "$SMOKE_DIR/warm.json" -report=false \
+    -workers 1 -warmlp -metrics "$SMOKE_DIR/warm_metrics.json" \
+    > "$SMOKE_DIR/warm_out.txt" 2>&1 || rc=$?
+case $rc in
+0|3) ;;
+*)
+    echo "etransform -warmlp: exit $rc, want 0 or 3" >&2
+    cat "$SMOKE_DIR/warm_out.txt" >&2
+    exit 1
+    ;;
+esac
+capped=$(jq '.counters["simplex.warm_stale_cap"] // 0' "$SMOKE_DIR/warm_metrics.json")
+hits=$(jq '.counters["simplex.warm_hits"] // 0' "$SMOKE_DIR/warm_metrics.json")
+if [ "$capped" -ne 0 ]; then
+    echo "simplex.warm_stale_cap is $capped, want 0 (a dual restore hit its pivot cap)" >&2
+    exit 1
+fi
+if [ "$hits" -lt 1 ]; then
+    echo "simplex.warm_hits is $hits: the warm path never ran" >&2
+    exit 1
+fi
+echo "    no capped restore (simplex.warm_hits=$hits, simplex.warm_stale_cap=0)"
 
 echo "==> all checks passed"
